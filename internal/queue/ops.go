@@ -342,102 +342,80 @@ func (r *Repository) Enqueue(t *txn.Txn, qname string, e Element, registrant str
 // state) when the target queue is durable and the caller must take the
 // transactional path.
 func (r *Repository) enqueueFast(qname string, e Element, registrant string, tag []byte) (EID, bool, error) {
+	qs, target, ok, err := r.lockVolatileTarget(qname)
+	if !ok || err != nil {
+		return 0, ok, err
+	}
+	ne := e.clone()
+	ne.EID = EID(r.nextEID.Add(1) - 1)
+	ne.seq = r.nextSeq.Add(1) - 1
+	ringable := e.Priority == 0 && r.ntrig.Load() == 0 && !(r.tracer.Enabled() && !e.Trace.IsZero())
+	if ringable && qs.handoff.Load() == handoffDraining {
+		r.mu.RUnlock()
+		qs.awaitReopen()
+		if qs, target, ok, err = r.lockVolatileTarget(qname); !ok || err != nil {
+			return 0, ok, err
+		}
+	}
+	if ringable && qs.enterFast() {
+		r.mu.RUnlock()
+		ne.Queue = target
+		if qs.pushFast(&ne) {
+			r.mFastHits.Inc()
+			r.fastRegUpdate(qname, registrant, OpEnqueue, ne.EID, tag, &ne)
+			// Close the trigger-creation race: if a trigger was
+			// installed after the gate check above, re-evaluate against
+			// the published depth. With seq-cst atomics, either this
+			// load sees the new count or CreateTrigger's post-install
+			// depth read sees our bump — one side always fires (see
+			// CreateTrigger).
+			if r.ntrig.Load() != 0 {
+				for _, tr := range r.dueTriggers(target, int(qs.m.depth.Value())) {
+					go r.fireTrigger(tr)
+				}
+			}
+			return ne.EID, true, nil
+		}
+		// Handed off, or sealed meanwhile: the locked path's seal drains
+		// the ring first, so arrival order by seq holds.
+		if qs, target, ok, err = r.lockVolatileTarget(qname); !ok || err != nil {
+			return 0, ok, err
+		}
+	}
+	ne.Queue = target
+	return r.enqueueFastLocked(qs, target, qname, ne, registrant, tag, ringable)
+}
+
+// lockVolatileTarget read-locks r.mu and resolves qname's redirect chain
+// to the queue an auto-commit volatile enqueue lands in. It returns with
+// r.mu held only when ok and err is nil; ok=false means the target is
+// durable (possibly destroyed and recreated durable since a ring attempt) and
+// the caller must take the transactional path.
+func (r *Repository) lockVolatileTarget(qname string) (*queueState, string, bool, error) {
 	r.mu.RLock()
 	if r.closed {
 		r.mu.RUnlock()
-		return 0, true, ErrClosed
+		return nil, "", true, ErrClosed
 	}
 	qs, target, err := r.resolveRedirect(qname)
 	if err != nil {
 		r.mu.RUnlock()
-		return 0, true, err
+		return nil, "", true, err
 	}
 	if !qs.volatile {
 		r.mu.RUnlock()
-		return 0, false, nil
+		return nil, "", false, nil
 	}
-	if e.Priority == 0 && r.ntrig.Load() == 0 &&
-		!(r.tracer.Enabled() && !e.Trace.IsZero()) && qs.enterFast() {
-		r.mu.RUnlock()
-		ne := e.clone()
-		ne.EID = EID(r.nextEID.Add(1) - 1)
-		ne.Queue = target
-		ne.seq = r.nextSeq.Add(1) - 1
-		// A full ring usually means the consumer is one scheduler quantum
-		// behind, not genuinely absent; a few yields let it drain and keep
-		// a momentary burst from forcing the expensive seal-and-drain
-		// fallback. The gate is released across each yield so a sealer is
-		// never made to wait on a parked producer.
-		for attempt := 0; ; attempt++ {
-			if qs.ring.push(&ne) {
-				qs.fastEnqs.Add(1)
-				qs.m.enqueues.Inc()
-				qs.m.depth.Add(1)
-				qs.exitFast()
-				r.mFastHits.Inc()
-				r.fastRegUpdate(qname, registrant, OpEnqueue, ne.EID, tag, &ne)
-				// Close the trigger-creation race: if a trigger was
-				// installed after the gate check above, re-evaluate against
-				// the published depth. With seq-cst atomics, either this
-				// load sees the new count or CreateTrigger's post-install
-				// depth read sees our bump — one side always fires (see
-				// CreateTrigger).
-				if r.ntrig.Load() != 0 {
-					for _, tr := range r.dueTriggers(target, int(qs.m.depth.Value())) {
-						go r.fireTrigger(tr)
-					}
-				}
-				return ne.EID, true, nil
-			}
-			qs.exitFast()
-			if attempt >= ringFullYields {
-				break
-			}
-			if attempt < ringSpinYields {
-				runtime.Gosched()
-			} else {
-				// Cooperative yields didn't free a slot: the consumer is
-				// not schedulable from here (oversubscribed host). Park on
-				// a timer so it can drain a stretch, not one slot.
-				time.Sleep(ringYieldSleep)
-			}
-			if !qs.enterFast() { // sealed while yielding
-				break
-			}
-		}
-		// Ring still full (or sealed): land the already-prepared element
-		// via the locked path. The seal there drains the ring first, so
-		// arrival order by seq is preserved in the lists.
-		r.mu.RLock()
-		if r.closed {
-			r.mu.RUnlock()
-			return 0, true, ErrClosed
-		}
-		qs, target, err = r.resolveRedirect(qname)
-		if err != nil {
-			r.mu.RUnlock()
-			return 0, true, err
-		}
-		if !qs.volatile { // destroyed and recreated durable meanwhile
-			r.mu.RUnlock()
-			return 0, false, nil
-		}
-		ne.Queue = target
-		return r.enqueueFastLocked(qs, target, qname, ne, registrant, tag)
-	}
-	ne := e.clone()
-	ne.EID = EID(r.nextEID.Add(1) - 1)
-	ne.Queue = target
-	ne.seq = r.nextSeq.Add(1) - 1
-	return r.enqueueFastLocked(qs, target, qname, ne, registrant, tag)
+	return qs, target, true, nil
 }
 
 // enqueueFastLocked is the shard-locked tail of enqueueFast: the
 // auto-commit volatile insert for operations the ring cannot serve
 // (priority, traced, triggers watching, ring full, or fast path sealed).
 // Called with r.mu read-held; releases it. Counts one fastpath fallback
-// on every completed-op return.
-func (r *Repository) enqueueFastLocked(qs *queueState, target, qname string, ne Element, registrant string, tag []byte) (EID, bool, error) {
+// on every completed-op return. Sealing an open ring for an element the
+// ring could have served (ringable) is a full-ring handoff.
+func (r *Repository) enqueueFastLocked(qs *queueState, target, qname string, ne Element, registrant string, tag []byte, ringable bool) (EID, bool, error) {
 	sp, traced := r.tracer.Begin(ne.TraceRef(), "enqueue")
 	if traced {
 		sp.Annotate(trace.Str("queue", target), trace.Int64("eid", int64(ne.EID)))
@@ -450,6 +428,9 @@ func (r *Repository) enqueueFastLocked(qs *queueState, target, qname string, ne 
 	el.q.Store(qs)
 	qs.lock()
 	r.mu.RUnlock()
+	if ringable && qs.fastMode.Load() {
+		qs.handoff.Store(handoffSealed)
+	}
 	qs.sealFastLocked()
 	if qs.cfg.MaxDepth > 0 && qs.live() >= int(qs.cfg.MaxDepth) {
 		qs.unlock()
@@ -593,7 +574,7 @@ func (r *Repository) dequeueFast(ctx context.Context, qname, registrant string, 
 			r.mu.RUnlock()
 			st := qs.ring.pop(out)
 			if st == ringOK {
-				qs.fastDeqs.Add(1)
+				qs.countFastDeq()
 				qs.m.dequeues.Inc()
 				qs.m.depth.Add(-1)
 				qs.exitFast()
@@ -640,6 +621,7 @@ func (r *Repository) dequeueFast(ctx context.Context, qname, registrant string, 
 			qs.bumpDepth(-1)
 			qs.countDequeue()
 			qs.maybeReopenFastLocked()
+			qs.noteLockedDeq()
 			qs.unlock()
 			r.elems.del(el.e.EID)
 			if woken {

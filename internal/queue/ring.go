@@ -23,8 +23,9 @@ package queue
 //     deq p→p+1, copies the element out, clears the slot, and releases it
 //     to the next cycle with seq.Store(p+ringCap).
 //   - A producer that finds seq < p while enq still reads p has lapped a
-//     slow consumer (ring full): it reports failure and the caller falls
-//     back to the locked path.
+//     slow consumer (ring full): it reports failure, and the caller either
+//     waits for a consumer that is draining the ring or hands the element
+//     to the locked path (see queueState.pushFast).
 //
 // All cross-goroutine element transfers are ordered by the seq atomics:
 // the producer's seq.Store(p+1) release-publishes the element write, and
@@ -59,31 +60,46 @@ const (
 	// which is the right place for them anyway (alerting, MaxDepth, stats).
 	ringCap = ringSegSlots * ringMaxSegs
 
-	// ringFullYields is how many times a producer finding the ring full
-	// backs off before giving up and taking the locked fallback. On
-	// few-core boxes a "full" ring is usually a consumer one quantum
-	// behind; backing off is far cheaper than seal-drain-reopen.
-	ringFullYields = 64
+	// ringFullWait bounds how long a producer that found the ring full
+	// waits for the next pop of a consumer that has popped since the last
+	// handoff (the full-ring rule; see queueState.awaitPop). A draining
+	// consumer's pop ends the wait long before this: the bound only runs
+	// out when that consumer has stopped, and then it is the whole stall
+	// before the producer hands its element to the locked path — ~2ms plus
+	// one seal-drain of the ring (0.2-0.5ms for 1,024 elements). A producer
+	// with no consumer evidence never waits. Go parks short timers at
+	// millisecond granularity on Linux (a 20µs sleep measured ~1.07ms), so
+	// a smaller value buys little.
+	ringFullWait = 2 * time.Millisecond
 
-	// ringSpinYields is the cooperative-yield budget within that: the
-	// first attempts use runtime.Gosched, which is nearly free when the
-	// consumer is on the same P (the GOMAXPROCS=1 regime). When that many
-	// yields fail to free a slot, the consumer is NOT reachable by
-	// cooperative yielding — on an oversubscribed host (GOMAXPROCS >
-	// physical cores) it sits on another P's run queue that this M never
-	// steals from under Gosched, and the producer spins its whole OS
-	// quantum in lockstep. The remaining attempts park on a timer
-	// (ringYieldSleep) instead, which deschedules the M and lets the
-	// consumer drain a long stretch of the ring rather than one slot.
+	// ringBusyWait caps the wait for a consumer that has popped at least
+	// ringSegSlots elements since the last handoff (see
+	// queueState.awaitPop). A pause of such a consumer is far more likely
+	// its thread descheduled on an oversubscribed host — measured up to
+	// ~20ms, rarely ~50ms, on a 2-vCPU VM — than a consumer that left, and
+	// handing off under it would put every element the producer makes
+	// meanwhile through the locked lists. A consumer that leaves after that
+	// much work costs its producer one wait this long; the handoff then
+	// spends the evidence.
+	ringBusyWait = 50 * time.Millisecond
+
+	// ringSpinYields is how many times a producer that found the ring full
+	// yields with runtime.Gosched before it applies the rest of the rule
+	// (parks, or hands off). A consumer on the same P (GOMAXPROCS=1, or
+	// more runnable goroutines than Ps) runs and pops within a few
+	// yields, before it has ever popped at start-up too; one the
+	// scheduler cannot reach that way needs the park. With nothing else
+	// runnable the yields return at once, so the consumer-less handoff
+	// costs microseconds.
 	ringSpinYields = 8
 
-	// ringYieldSleep is the timer-park used after the spin budget. At 20µs
-	// a draining consumer (~200ns/op) frees ~100 slots per park, so a
-	// handful of parks beats one seal-drain-reopen; the worst case before
-	// the locked fallback is ~1.1ms, acceptable for the only case that
-	// reaches it — a consumer that is genuinely absent, for which the
-	// locked path (parking, MaxDepth, alerting) is the right home anyway.
-	ringYieldSleep = 20 * time.Microsecond
+	// ringRecoverDepth is the deepest backlog left by a full-ring handoff
+	// that producers wait for a returning consumer to empty so the ring can
+	// reopen (see queueState.awaitReopen): the ring's worth of drained
+	// elements plus what the producer added while the consumer was away.
+	// At locked-path speed that is a few milliseconds of the consumer's
+	// work; a deeper backlog is real buffering and stays on the locked path.
+	ringRecoverDepth = 4 * ringCap
 )
 
 // ringStatus is the outcome of a pop attempt.
@@ -193,8 +209,8 @@ func (r *ring) pop(out *Element) ringStatus {
 				continue
 			}
 			*out = s.el
-			s.el = Element{}                // drop references for GC
-			s.seq.Store(pos + ringCap)      // release slot to next cycle
+			s.el = Element{}           // drop references for GC
+			s.seq.Store(pos + ringCap) // release slot to next cycle
 			return ringOK
 		case seq <= pos:
 			// Slot not yet published for this position.

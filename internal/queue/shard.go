@@ -117,6 +117,16 @@ type queueState struct {
 	fastDeqs    atomic.Uint64
 	fastDrained atomic.Uint64
 
+	// Full-ring rule (see awaitPop): fullMark is fastDeqs as of the last
+	// full-ring handoff to the locked path; ringWaiters counts producers
+	// waiting on ringSpace for a ring pop, a seal, a drain or a reopen
+	// to wake them; handoff is the recovery state of the last handoff
+	// (see awaitReopen).
+	fullMark    atomic.Uint64
+	ringWaiters atomic.Int32
+	ringSpace   chan struct{}
+	handoff     atomic.Int32
+
 	// elems is the repository's eid index (fast enqueues don't register
 	// there; sealing does — see sealFastLocked and drainFastResident).
 	elems *elemTable
@@ -152,6 +162,166 @@ func (q *queueState) enterFast() bool {
 
 func (q *queueState) exitFast() { q.fastOps.Add(-1) }
 
+// pushFast publishes *e through the ring. Called inside the enterFast
+// gate, which it always leaves. It returns false, with e not published,
+// when the queue was sealed meanwhile or the ring is full with no
+// consumer draining it; the caller then hands e to the locked path.
+func (q *queueState) pushFast(e *Element) bool {
+	for {
+		if q.ring.push(e) {
+			q.fastEnqs.Add(1)
+			q.m.enqueues.Inc()
+			q.m.depth.Add(1)
+			q.exitFast()
+			return true
+		}
+		q.exitFast()
+		if !q.awaitPop() || !q.enterFast() {
+			q.wakeRingWaiter() // pass a seal's wakeup on to the next producer
+			return false
+		}
+	}
+}
+
+// awaitPop is the full-ring rule. A producer that found the ring full
+// yields a few times, which lets a consumer sharing its P pop. If none
+// did, it waits further only on evidence that a consumer is draining the
+// ring: one has popped since the last handoff (fastDeqs moved past
+// fullMark; seal drains never move fastDeqs). Without evidence the
+// backlog is simply deeper than the ring, which is what the locked lists
+// are for, and awaitPop reports false at once: the caller hands off.
+// With it, the producer parks, outside the gate so a sealer never waits
+// on it, until a pop moves fastDeqs or the queue is sealed. Parking also
+// lets a consumer that Gosched cannot reach (on another P of an
+// oversubscribed host) run.
+//
+// The park ends on the consumer's own signal — each pop wakes one parked
+// producer (countFastDeq) — not on a sample taken after a timer. The
+// timer only bounds the wait for a consumer that has stopped: ringFullWait,
+// stretched in ringFullWait steps up to ringBusyWait once consumers have
+// popped a segment's worth since the last handoff — a consumer with that
+// much history that pauses has more likely been descheduled than left.
+// A wait that runs out moves fullMark up to fastDeqs: the evidence is
+// spent only by a producer that gave up on it, so producers sharing a
+// queue do not use up each other's.
+func (q *queueState) awaitPop() bool {
+	deqs := q.fastDeqs.Load()
+	popped := func() bool { return q.fastDeqs.Load() != deqs || !q.fastMode.Load() }
+	for i := 0; i < ringSpinYields; i++ {
+		runtime.Gosched()
+		if popped() {
+			return true
+		}
+	}
+	mark := q.fullMark.Load()
+	if deqs == mark {
+		return false
+	}
+	seasoned := deqs-mark >= ringSegSlots
+	// Registering before the loop check pairs with countFastDeq (bump
+	// fastDeqs, then read ringWaiters) and sealFastLocked (clear
+	// fastMode, then wake): either the check sees the change, or its
+	// wakeup finds this producer registered. A wakeup left over from an
+	// earlier wait just re-runs the check.
+	q.ringWaiters.Add(1)
+	defer q.ringWaiters.Add(-1)
+	q.m.fullWaits.Inc()
+	start := time.Now()
+	defer func() { q.m.fullWaitNs.Observe(time.Since(start).Nanoseconds()) }()
+	t := time.NewTimer(ringFullWait)
+	defer t.Stop()
+	for !popped() {
+		select {
+		case <-q.ringSpace:
+		case <-t.C:
+			if popped() {
+				return true
+			}
+			if seasoned && time.Since(start) < ringBusyWait {
+				t.Reset(ringFullWait)
+				continue
+			}
+			q.fullMark.Store(q.fastDeqs.Load())
+			return false
+		}
+	}
+	return true
+}
+
+// Recovery states of a full-ring handoff (queueState.handoff).
+const (
+	handoffNone     = iota // ring open, or sealed for another reason
+	handoffSealed          // a full-ring handoff sealed the ring (enqueueFastLocked)
+	handoffDraining        // ...and a consumer is draining a short backlog
+)
+
+// noteLockedDeq is called under q.mu after an auto-commit dequeue served
+// by the locked lists. Once a consumer drains what a handoff left behind
+// and the backlog is at most ringRecoverDepth, producers wait for the
+// ring to reopen rather than keep the lists fed (awaitReopen); each such
+// dequeue is their sign of progress.
+func (q *queueState) noteLockedDeq() {
+	switch q.handoff.Load() {
+	case handoffSealed:
+		if q.stats.Depth > ringRecoverDepth {
+			return
+		}
+		q.handoff.Store(handoffDraining)
+	case handoffNone:
+		return
+	}
+	q.wakeRingWaiter()
+}
+
+// awaitReopen parks a ring-eligible producer while a consumer drains the
+// short backlog a full-ring handoff left in the locked lists. A handoff
+// can be false — the consumer was descheduled for longer than
+// ringFullWait, or had not run yet — and the ring reopens only once the
+// lists are empty (maybeReopenFastLocked); a producer that kept feeding
+// the lists at the rate the consumer empties them would keep both on the
+// locked path for good. It returns when the ring reopens, or gives up,
+// ending the recovery, when no dequeue lands for ringFullWait. Called
+// with no locks held.
+func (q *queueState) awaitReopen() {
+	q.ringWaiters.Add(1)
+	defer q.ringWaiters.Add(-1)
+	deadline := time.Now().Add(ringFullWait)
+	t := time.NewTimer(ringFullWait)
+	defer t.Stop()
+	for !q.fastMode.Load() {
+		select {
+		case <-q.ringSpace:
+			deadline = time.Now().Add(ringFullWait)
+		case <-t.C:
+			left := time.Until(deadline)
+			if left <= 0 {
+				q.handoff.CompareAndSwap(handoffDraining, handoffNone)
+				return
+			}
+			t.Reset(left)
+		}
+	}
+	q.wakeRingWaiter() // pass the reopen on to the next producer
+}
+
+// countFastDeq counts one ring pop and wakes a producer waiting for room.
+func (q *queueState) countFastDeq() {
+	q.fastDeqs.Add(1)
+	q.wakeRingWaiter()
+}
+
+// wakeRingWaiter wakes one producer parked in awaitPop or awaitReopen,
+// if any.
+func (q *queueState) wakeRingWaiter() {
+	if q.ringWaiters.Load() == 0 {
+		return
+	}
+	select {
+	case q.ringSpace <- struct{}{}:
+	default: // a wakeup is already pending
+	}
+}
+
 // sealFastLocked transitions the queue to locked mode: no new ring ops
 // can start, in-flight ones are waited out, and ring contents are drained
 // into the locked lists (registering each element in the eid index) so the
@@ -162,6 +332,7 @@ func (q *queueState) sealFastLocked() {
 		return
 	}
 	q.fastMode.Store(false)
+	q.m.seals.Inc()
 	for q.fastOps.Load() != 0 {
 		runtime.Gosched()
 	}
@@ -182,6 +353,7 @@ func (q *queueState) sealFastLocked() {
 			if q.stats.Depth > q.stats.MaxDepth {
 				q.stats.MaxDepth = q.stats.Depth
 			}
+			q.wakeRingWaiter() // a parked producer must take the locked path
 			return
 		case ringInflight:
 			// Unreachable after the gate drained, but harmless: yield and
@@ -207,6 +379,9 @@ func (q *queueState) maybeReopenFastLocked() {
 		return
 	}
 	q.fastMode.Store(true)
+	if q.handoff.Swap(handoffNone) != handoffNone {
+		q.wakeRingWaiter()
+	}
 }
 
 // lock acquires the shard latch, observing the wait only when contended
@@ -365,6 +540,14 @@ type qmetrics struct {
 	diversions *obs.Counter // retry-limit diversions to the error queue
 	depth      *obs.Gauge
 	inFlight   *obs.Gauge
+
+	// Ring handoff instruments, repository-wide (unlabeled): seals count
+	// fast→locked transitions; fullWaits/fullWaitNs count and time the
+	// episodes in which a producer waited for a consumer to drain a full
+	// ring (see awaitPop).
+	seals      *obs.Counter
+	fullWaits  *obs.Counter
+	fullWaitNs *obs.Histogram
 }
 
 // newQueueState builds a queue's state with instruments labeled by queue
@@ -385,6 +568,7 @@ func (r *Repository) newQueueState(cfg QueueConfig) *queueState {
 	qs.cond = sync.NewCond(&qs.mu)
 	if ringEligible(&cfg) {
 		qs.ring = newRing()
+		qs.ringSpace = make(chan struct{}, 1)
 		qs.fastMode.Store(true)
 	}
 	qs.m = qmetrics{
@@ -395,6 +579,9 @@ func (r *Repository) newQueueState(cfg QueueConfig) *queueState {
 		diversions: r.reg.Counter("queue.error_diversions", "queue", cfg.Name),
 		depth:      r.reg.Gauge("queue.depth", "queue", cfg.Name),
 		inFlight:   r.reg.Gauge("queue.in_flight", "queue", cfg.Name),
+		seals:      r.reg.Counter("queue.ring_seals"),
+		fullWaits:  r.reg.Counter("queue.ring_full_waits"),
+		fullWaitNs: r.reg.Histogram("queue.ring_full_wait_ns"),
 	}
 	return qs
 }

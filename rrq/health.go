@@ -53,7 +53,7 @@ func worse(a, b string) string {
 // poisoned or the repository closed) are "fail" — /healthz answers 503
 // and an orchestrator should restart the process. Soft signals computed
 // over the metrics-history window (admission shedding, circuit-breaker
-// opens, a collapsed ring fast path) are "degraded": the node still
+// opens, ring seal churn) are "degraded": the node still
 // serves, but an operator should look.
 func (n *Node) Health() Health {
 	h := Health{Status: HealthOK, Node: n.repo.Name(), At: time.Now()}
@@ -124,19 +124,32 @@ func (n *Node) Health() Health {
 		add("breakers", HealthOK, "")
 	}
 
-	// Ring fast path: a high fallback fraction means volatile queues are
-	// taking the locked slow path (sealed rings, contention artifacts).
+	// Ring fast path: churn is a volatile queue sealing its ring (a
+	// fast→locked handoff that drains the ring into the locked lists)
+	// so often that the ring barely serves anything in between. Ops
+	// served from the lists are not the signal: a backlog deeper than
+	// the ring is normal buffering and lands there by design (the
+	// fill-and-drain backlog seals once per ringCap ring ops).
+	seals := rep.Counters["queue.ring_seals"]
 	hits := rep.Counters["queue.fastpath_hits"]
-	falls := rep.Counters["queue.fastpath_fallbacks"]
-	if total := hits + falls; total >= 100 && falls*2 > total {
+	if seals >= minChurnSeals && hits < seals*ringOpsPerSeal {
 		add("fastpath", HealthDegraded,
-			fmt.Sprintf("ring fallback fraction %.0f%% (%d/%d)",
-				100*float64(falls)/float64(total), falls, total))
+			fmt.Sprintf("ring seal churn: %d seals against %d ring ops", seals, hits))
 	} else {
 		add("fastpath", HealthOK, "")
 	}
 	return h
 }
+
+// The fastpath probe degrades when a window holds at least minChurnSeals
+// ring seals and fewer than ringOpsPerSeal ring-served operations per
+// seal. A ring that fills and drains seals once per 1,024 ring pushes;
+// a handoff storm (or a blocking consumer on an otherwise idle queue)
+// seals every few operations.
+const (
+	minChurnSeals  = 16
+	ringOpsPerSeal = 256
+)
 
 // overLagBudget reports whether the sender's lag exceeds the configured
 // semi-sync budget (with the replica-package defaults applied).
